@@ -52,14 +52,11 @@ from typing import (
 )
 
 from repro.analysis.reporting import format_table
+from repro.common.codec import RESULT_SCHEMA_VERSION, check_schema_version
 from repro.common.deprecation import warn_deprecated
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
-from repro.sim.metrics import (
-    RESULT_SCHEMA_VERSION,
-    RunResult,
-    check_payload_schema,
-)
+from repro.sim.metrics import RunResult
 from repro.workloads.descriptors import Workload
 
 if TYPE_CHECKING:
@@ -529,7 +526,7 @@ class StudyResult:
         stored as.
         """
         payload = json.loads(text)
-        check_payload_schema(payload, "study result")
+        check_schema_version(payload, "study result")
         cells = []
         for entry in payload["cells"]:
             spec = (

@@ -24,11 +24,18 @@ import os
 import shutil
 import uuid
 import warnings
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Type, Union
 
+from repro.common.codec import (
+    RESULT_SCHEMA_VERSION,
+    SCHEMA_KEY,
+    Codec,
+    check_schema_version,
+)
 from repro.common.errors import StoreError
-from repro.sim.metrics import RESULT_SCHEMA_VERSION, RunResult
+from repro.sim.metrics import RunResult
 from repro.store.manifest import RunManifest
 
 #: Environment variable overriding the default store location.
@@ -58,42 +65,49 @@ def resolve_store_root(root: Union[str, Path, None] = None) -> Path:
 # -- value codec -----------------------------------------------------------------------
 
 
-def encode_value(value: Any) -> Dict[str, Any]:
-    """Encode a study-task result into a JSON-safe store payload.
+@lru_cache(maxsize=None)
+def _store_codecs() -> Dict[str, Type[Codec]]:
+    """Store codec name -> the result type it persists.
 
-    Engine results (every :class:`~repro.sim.metrics.RunResult` kind)
-    serialise through their ``to_dict``; population cells and binning
-    results through theirs; anything else must already be a faithful JSON
-    value (tuples are rejected — they would silently come back as lists).
+    Every type here is a :class:`~repro.common.codec.Codec`, so encoding is
+    its ``to_dict`` and decoding its ``from_dict``.  Registering a new
+    result type is one entry in this table.
     """
+    from repro.analysis.optimize import OptimizationResult
     from repro.variation.population import (
         PopulationCellResult,
         PopulationResult,
         SpecBinningResult,
     )
-    from repro.analysis.optimize import OptimizationResult
     from repro.variation.streaming import (
         StreamingBinningResult,
         StreamingCellResult,
         StreamingCellShard,
     )
 
-    if isinstance(value, RunResult):
-        payload: Dict[str, Any] = {"codec": "run_result", "value": value.to_dict()}
-    elif isinstance(value, OptimizationResult):
-        payload = {"codec": "optimization", "value": value.to_dict()}
-    elif isinstance(value, PopulationCellResult):
-        payload = {"codec": "population_cell", "value": value.to_dict()}
-    elif isinstance(value, SpecBinningResult):
-        payload = {"codec": "spec_binning", "value": value.to_dict()}
-    elif isinstance(value, StreamingCellShard):
-        payload = {"codec": "streaming_shard", "value": value.to_dict()}
-    elif isinstance(value, StreamingCellResult):
-        payload = {"codec": "streaming_cell", "value": value.to_dict()}
-    elif isinstance(value, StreamingBinningResult):
-        payload = {"codec": "streaming_binning", "value": value.to_dict()}
-    elif isinstance(value, PopulationResult):
-        payload = {"codec": "population", "value": json.loads(value.to_json())}
+    return {
+        "run_result": RunResult,
+        "optimization": OptimizationResult,
+        "population_cell": PopulationCellResult,
+        "spec_binning": SpecBinningResult,
+        "streaming_shard": StreamingCellShard,
+        "streaming_cell": StreamingCellResult,
+        "streaming_binning": StreamingBinningResult,
+        "population": PopulationResult,
+    }
+
+
+def encode_value(value: Any) -> Dict[str, Any]:
+    """Encode a study-task result into a JSON-safe store payload.
+
+    Registered result types (:func:`_store_codecs`) serialise through the
+    shared codec; anything else must already be a faithful JSON value
+    (tuples are rejected: they would silently come back as lists).
+    """
+    for codec, result_type in _store_codecs().items():
+        if isinstance(value, result_type):
+            payload: Dict[str, Any] = {"codec": codec, "value": value.to_dict()}
+            break
     else:
         try:
             faithful = (
@@ -108,53 +122,26 @@ def encode_value(value: Any) -> Dict[str, Any]:
                 "result and not a faithful JSON value"
             )
         payload = {"codec": "json", "value": value}
-    payload["schema_version"] = RESULT_SCHEMA_VERSION
+    payload[SCHEMA_KEY] = RESULT_SCHEMA_VERSION
     return payload
 
 
-def decode_value(payload: Dict[str, Any]) -> Any:
-    """Decode a store payload back into the value :func:`encode_value` saw."""
-    from repro.analysis.optimize import OptimizationResult
-    from repro.variation.population import (
-        PopulationCellResult,
-        PopulationResult,
-        SpecBinningResult,
-    )
-    from repro.variation.streaming import (
-        StreamingBinningResult,
-        StreamingCellResult,
-        StreamingCellShard,
-    )
+def decode_value(payload: Any) -> Any:
+    """Decode a store payload back into the value :func:`encode_value` saw.
 
-    version = payload.get("schema_version", RESULT_SCHEMA_VERSION)
-    if not isinstance(version, int) or version > RESULT_SCHEMA_VERSION:
-        raise StoreError(
-            f"stored result schema version {version!r} is newer than this "
-            f"library understands (<= {RESULT_SCHEMA_VERSION})"
-        )
+    Any payload that does not decode (a newer schema, an unknown codec, or
+    a value of the wrong shape) raises :class:`StoreError`.
+    """
+    if not isinstance(payload, dict):
+        raise StoreError("a store payload must be a JSON object")
+    check_schema_version(payload, "stored result")
     codec = payload.get("codec")
-    value = payload.get("value")
-    if codec == "run_result":
-        return RunResult.from_dict(value)
-    if codec == "optimization":
-        return OptimizationResult.from_dict(value)
-    if codec == "population_cell":
-        return PopulationCellResult.from_dict(value)
-    if codec == "spec_binning":
-        return SpecBinningResult.from_dict(value)
-    if codec == "streaming_shard":
-        return StreamingCellShard.from_dict(value)
-    if codec == "streaming_cell":
-        return StreamingCellResult.from_dict(value)
-    if codec == "streaming_binning":
-        return StreamingBinningResult.from_dict(value)
-    if codec == "population":
-        return PopulationResult.from_json(
-            json.dumps(value, sort_keys=True, allow_nan=False)
-        )
     if codec == "json":
-        return value
-    raise StoreError(f"unknown store codec {codec!r}")
+        return payload.get("value")
+    result_type = _store_codecs().get(codec)
+    if result_type is None:
+        raise StoreError(f"unknown store codec {codec!r}")
+    return result_type.from_dict(payload.get("value"))
 
 
 # -- the store -------------------------------------------------------------------------

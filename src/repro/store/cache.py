@@ -24,7 +24,7 @@ from repro.analysis.study import CallableTask, EngineTask, StudyTask
 from repro.common.errors import ConfigurationError, StoreError
 from repro.sim.engine import ENGINE_VERSION
 from repro.sim.metrics import RunResult
-from repro.store.artifacts import RunStore
+from repro.store.artifacts import RunStore, StoreCorruptionWarning
 from repro.store.hashing import run_id_for_task
 from repro.store.manifest import (
     DEFAULT_TIER,
@@ -116,6 +116,7 @@ class StoreCache(MutableMapping[StudyTask, Any]):
         except StoreError as error:
             warnings.warn(
                 f"re-running task {run_id[:12]}…: {error}",
+                StoreCorruptionWarning,
                 stacklevel=2,
             )
             raise KeyError(task) from None  # repro-lint: disable=RPR005 -- MutableMapping.__getitem__ protocol; a corrupt artifact must read as a cache miss
