@@ -6,7 +6,8 @@ nested dataclasses recurse, ``Enum`` members store their ``value``,
 ``Tuple[...]`` becomes a list and ``Dict[str|int, ...]`` an object (int
 keys as strings), ``Optional`` passes ``None`` through, and ``np.ndarray``
 fields annotated :data:`FloatArray` / :data:`Int64Array` /
-:data:`BoolArray` become nested lists that decode with that dtype.
+:data:`BoolArray` become nested lists that decode with that dtype (a
+payload rebuilt in memory may also hold the arrays themselves).
 Sequences of scalars convert in one ``list()``/``tuple()`` call, so long
 traces are never walked element by element.
 
@@ -35,7 +36,17 @@ import typing
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Annotated, Any, Callable, ClassVar, Dict, Optional, Tuple, Type
+from typing import (
+    Annotated,
+    Any,
+    Callable,
+    ClassVar,
+    Collection,
+    Dict,
+    Optional,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -58,6 +69,7 @@ _Convert = Callable[[Any], Any]
 
 _SCALARS = (str, int, float, bool)
 _LIST = (list, tuple)
+_ARRAY = (list, tuple, np.ndarray)
 
 #: Payload kind tag -> the class it decodes to.
 _KINDS: Dict[str, type] = {}
@@ -195,7 +207,7 @@ def _converters(hint: Any) -> Tuple[_Convert, _Convert]:
         dtype = args[1]
         return (
             lambda value: np.asarray(value, dtype=dtype).tolist(),
-            _guarded(lambda value: np.asarray(_expect(_LIST, value), dtype=dtype)),
+            _guarded(lambda value: np.asarray(_expect(_ARRAY, value), dtype=dtype)),
         )
     if isinstance(hint, type) and issubclass(hint, Enum):
         return (lambda value: value.value), _guarded(hint)
@@ -271,10 +283,16 @@ _plan = lru_cache(maxsize=None)(_Plan)
 # -- encode / decode -------------------------------------------------------------------
 
 
-def encode(value: Any) -> Dict[str, Any]:
-    """The JSON-safe payload of one dataclass instance."""
+def encode(value: Any, omit: Collection[str] = ()) -> Dict[str, Any]:
+    """The JSON-safe payload of one dataclass instance, without the *omit*
+    fields (a caller that stores those elsewhere passes them to
+    :func:`decode` in the payload it rebuilds)."""
     plan = _plan(type(value))
-    payload = {name: enc(getattr(value, name)) for name, enc, _ in plan.fields}
+    payload = {
+        name: enc(getattr(value, name))
+        for name, enc, _ in plan.fields
+        if name not in omit
+    }
     if plan.kind:
         payload[KIND_KEY] = plan.kind
     if plan.versioned:

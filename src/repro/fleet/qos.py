@@ -9,10 +9,10 @@ means exactly at SLO; 1.25 means the slowest percentile of work ran 25%
 longer than the SLO allows).
 
 :class:`QosAccumulator` is the mergeable builder behind it.  It keeps the
-raw active-step samples, so accumulation is **exactly** chunk-invariant:
-feeding a trace step-by-step, in arbitrary chunks, or whole produces
-bit-identical reports — including the p99 order statistic, which no
-summary-only accumulator can promise.
+raw active-step frequencies as arrays and counts the throttled steps, so
+accumulation is **exactly** chunk-invariant: feeding a trace step-by-step,
+in arbitrary chunks, or whole produces bit-identical reports — including
+the p99 order statistic, which no summary-only accumulator can promise.
 
 :class:`EnsembleQos` pools member reports of one seeded scenario ensemble
 (weighted by active steps, worst-case p99), the aggregation surfaced by
@@ -23,8 +23,12 @@ the shared :mod:`repro.common.codec`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
@@ -40,15 +44,14 @@ DEFAULT_SLO_FREQUENCY_HZ = 2.0e9
 LATENCY_PERCENTILE = 0.99
 
 
-def _percentile(samples: Sequence[float], fraction: float) -> float:
+def _percentile(samples: np.ndarray, fraction: float) -> float:
     """The exact ``ceil(fraction * n)``-th order statistic of *samples*.
 
     A plain order statistic (no interpolation) so the result depends only
     on the sample *set*, never on how it was accumulated.
     """
-    ordered = sorted(samples)
-    rank = min(len(ordered), max(1, math.ceil(fraction * len(ordered))))
-    return ordered[rank - 1]
+    rank = min(len(samples), max(1, math.ceil(fraction * len(samples))))
+    return float(np.partition(samples, rank - 1)[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -115,20 +118,21 @@ class QosReport(Codec, kind="qos", versioned=True):
 class QosAccumulator:
     """Mergeable accumulator of active-step QoS samples.
 
-    Keeps the raw per-step samples (frequency + limiting factor of every
-    active step), so any partition of a trace into chunks — and any merge
-    order — yields bit-identical reports.  Memory is bounded by the active
-    step count, which for fleet scenarios is a few thousand floats.
+    Keeps the raw active-step frequencies (one array per added chunk) and
+    the count of active steps per throttling factor, so any partition of a
+    trace into chunks — and any merge order — yields bit-identical
+    reports.  Memory is bounded by the active step count, which for fleet
+    scenarios is a few thousand floats.
     """
 
     def __init__(self) -> None:
-        self._frequencies_hz: List[float] = []
-        self._limiting_factors: List[str] = []
+        self._chunks: List[np.ndarray] = []
+        self._throttle_counts: Dict[str, int] = {f: 0 for f in THROTTLE_FACTORS}
 
     @property
     def active_steps(self) -> int:
         """Active samples accumulated so far."""
-        return len(self._frequencies_hz)
+        return sum(len(chunk) for chunk in self._chunks)
 
     def add_steps(
         self,
@@ -140,10 +144,12 @@ class QosAccumulator:
             raise ConfigurationError(
                 "frequencies_hz and limiting_factors must have equal length"
             )
-        for frequency, factor in zip(frequencies_hz, limiting_factors):
-            if frequency > 0.0:
-                self._frequencies_hz.append(float(frequency))
-                self._limiting_factors.append(str(factor))
+        frequencies = np.asarray(frequencies_hz, dtype=np.float64)
+        active = frequencies > 0.0
+        self._chunks.append(frequencies[active])
+        counts = Counter(compress(limiting_factors, active.tolist()))
+        for factor in THROTTLE_FACTORS:
+            self._throttle_counts[factor] += counts[factor]
         return self
 
     def add_result(self, result: DynamicRunResult) -> "QosAccumulator":
@@ -152,8 +158,9 @@ class QosAccumulator:
 
     def merge(self, other: "QosAccumulator") -> "QosAccumulator":
         """Fold another accumulator's samples into this one."""
-        self._frequencies_hz.extend(other._frequencies_hz)
-        self._limiting_factors.extend(other._limiting_factors)
+        self._chunks.extend(other._chunks)
+        for factor, count in other._throttle_counts.items():
+            self._throttle_counts[factor] += count
         return self
 
     def report(
@@ -163,7 +170,8 @@ class QosAccumulator:
     ) -> QosReport:
         """The QoS verdict of everything accumulated so far."""
         ensure_positive(slo_frequency_hz, "slo_frequency_hz")
-        n = self.active_steps
+        frequencies = np.concatenate(self._chunks) if self._chunks else np.empty(0)
+        n = len(frequencies)
         if n == 0:
             return QosReport(
                 name=name,
@@ -175,17 +183,10 @@ class QosAccumulator:
                 p99_latency_proxy=0.0,
                 mean_frequency_hz=0.0,
             )
-        violations = sum(
-            1 for f in self._frequencies_hz if f < slo_frequency_hz
-        )
-        throttle_counts = {factor: 0 for factor in THROTTLE_FACTORS}
-        for factor in self._limiting_factors:
-            if factor in throttle_counts:
-                throttle_counts[factor] += 1
+        violations = int(np.count_nonzero(frequencies < slo_frequency_hz))
         residency = {
-            factor: count / n for factor, count in throttle_counts.items()
+            factor: count / n for factor, count in self._throttle_counts.items()
         }
-        latencies = [slo_frequency_hz / f for f in self._frequencies_hz]
         return QosReport(
             name=name,
             slo_frequency_hz=slo_frequency_hz,
@@ -193,8 +194,11 @@ class QosAccumulator:
             violation_rate=violations / n,
             throttle_residency=residency,
             throttled_fraction=sum(residency.values()),
-            p99_latency_proxy=_percentile(latencies, LATENCY_PERCENTILE),
-            mean_frequency_hz=sum(self._frequencies_hz) / n,
+            p99_latency_proxy=_percentile(
+                slo_frequency_hz / frequencies, LATENCY_PERCENTILE
+            ),
+            # The builtin sum over Python floats, in accumulation order.
+            mean_frequency_hz=sum(frequencies.tolist()) / n,
         )
 
 

@@ -187,11 +187,11 @@ class DynamicsSimulator:
             time_step_s=dt,
             pl1_w=limits.pl1_w,
             pl2_w=limits.pl2_w,
-            times_s=tuple(recorder.times_s),
-            frequencies_hz=tuple(recorder.frequencies_hz),
-            package_powers_w=tuple(recorder.package_powers_w),
-            temperatures_c=tuple(recorder.temperatures_c),
-            average_powers_w=tuple(recorder.average_powers_w),
+            times_s=recorder.times_s,
+            frequencies_hz=recorder.frequencies_hz,
+            package_powers_w=recorder.package_powers_w,
+            temperatures_c=recorder.temperatures_c,
+            average_powers_w=recorder.average_powers_w,
             limiting_factors=tuple(recorder.limiting_factors),
             package_cstates=tuple(recorder.package_cstates),
         )
@@ -1030,11 +1030,11 @@ class BatchedDynamicsSimulator:
             time_step_s=dt,
             pl1_w=plan.limits.pl1_w,
             pl2_w=plan.limits.pl2_w,
-            times_s=tuple(times.tolist()),
-            frequencies_hz=tuple(traces["frequency_hz"][:n, run_index].tolist()),
-            package_powers_w=tuple(traces["power_w"][:n, run_index].tolist()),
-            temperatures_c=tuple(traces["temperature_c"][:n, run_index].tolist()),
-            average_powers_w=tuple(traces["average_w"][:n, run_index].tolist()),
+            times_s=times,
+            frequencies_hz=traces["frequency_hz"][:n, run_index],
+            package_powers_w=traces["power_w"][:n, run_index],
+            temperatures_c=traces["temperature_c"][:n, run_index],
+            average_powers_w=traces["average_w"][:n, run_index],
             limiting_factors=tuple(limiting_values),
             package_cstates=tuple(cstates),
         )

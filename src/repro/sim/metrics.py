@@ -10,11 +10,15 @@ round-tripping via :meth:`RunResult.to_dict` / :meth:`RunResult.from_dict`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from collections import Counter
+from dataclasses import dataclass, fields
+from itertools import compress
+from typing import Any, Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.codec import RESULT_SCHEMA_VERSION as RESULT_SCHEMA_VERSION
-from repro.common.codec import Codec
+from repro.common.codec import Codec, FloatArray
 from repro.common.errors import ConfigurationError
 from repro.pmu.dvfs import LimitingFactor, OperatingPoint
 from repro.pmu.pbm import GraphicsOperatingPoint
@@ -184,29 +188,84 @@ class TransientRunResult(RunResult, kind="transient"):
         return self.worst_droop_v / baseline.worst_droop_v - 1.0
 
 
-@dataclass(frozen=True)
+#: The float traces of a dynamic run, in stored column order.
+TRACE_FIELDS: Tuple[str, ...] = (
+    "times_s",
+    "frequencies_hz",
+    "package_powers_w",
+    "temperatures_c",
+    "average_powers_w",
+)
+
+
+def _frozen_trace(values: Any) -> np.ndarray:
+    """*values* as a read-only 1-D float64 array, copied unless it is one."""
+    array = values
+    if not (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.float64
+        and not array.flags.writeable
+    ):
+        array = np.array(values, dtype=np.float64)
+        array.setflags(write=False)
+    if array.ndim != 1:
+        raise ConfigurationError(f"a trace must be 1-D, got {array.ndim}-D")
+    return array
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean of *values*, 0.0 when empty.
+
+    Summed by the builtin ``sum`` over Python floats, so the result is the
+    one every stored and printed number was produced with (``np.sum``
+    adds pairwise and rounds differently).
+    """
+    return sum(values.tolist()) / len(values) if len(values) else 0.0
+
+
+def _sustained(active_hz: np.ndarray) -> float:
+    """Mean of the last tenth of the active-step frequencies (0 if none)."""
+    return _mean(active_hz[-max(1, len(active_hz) // 10) :])
+
+
+def _breakdown(factors: Sequence[str], active: np.ndarray) -> Dict[str, float]:
+    """Fraction of the *active* steps stopped by each limiting factor."""
+    counts = Counter(compress(factors, active.tolist()))
+    total = sum(counts.values())
+    return {factor: count / total for factor, count in counts.items()}
+
+
+def _throttle_residency(breakdown: Dict[str, float]) -> Dict[str, float]:
+    return {factor: breakdown.get(factor, 0.0) for factor in THROTTLE_FACTORS}
+
+
+@dataclass(frozen=True, eq=False)
 class DynamicRunResult(RunResult, kind="dynamic", derived=("summary",)):
     """Outcome of stepping one dynamic scenario through the closed loop.
 
     Carries the full per-step traces (frequency, package power, junction
     temperature, EWMA of power, limiting factor, package C-state) plus the
     PL1/PL2 configuration the run executed under.  Sample ``i`` describes
-    the step ending at ``times_s[i]``; temperatures are post-step.
+    the step ending at ``times_s[i]``; temperatures are post-step.  The
+    float traces (:data:`TRACE_FIELDS`) are read-only float64 arrays; any
+    sequence passed in is copied into one.
     """
 
     scenario_name: str
     time_step_s: float
     pl1_w: float
     pl2_w: float
-    times_s: Tuple[float, ...]
-    frequencies_hz: Tuple[float, ...]
-    package_powers_w: Tuple[float, ...]
-    temperatures_c: Tuple[float, ...]
-    average_powers_w: Tuple[float, ...]
+    times_s: FloatArray
+    frequencies_hz: FloatArray
+    package_powers_w: FloatArray
+    temperatures_c: FloatArray
+    average_powers_w: FloatArray
     limiting_factors: Tuple[str, ...]
     package_cstates: Tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for name in TRACE_FIELDS:
+            object.__setattr__(self, name, _frozen_trace(getattr(self, name)))
         lengths = {
             len(trace)
             for trace in (
@@ -225,6 +284,23 @@ class DynamicRunResult(RunResult, kind="dynamic", derived=("summary",)):
                 "and of equal length"
             )
 
+    def __eq__(self, other: object) -> bool:
+        """Field-wise equality; traces are equal when every float is."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for field in fields(self):
+            mine, theirs = getattr(self, field.name), getattr(other, field.name)
+            if field.name in TRACE_FIELDS:
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+    def __reduce__(self) -> Any:
+        # Rebuild through __init__ so unpickled traces are read-only again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     # -- common interface --------------------------------------------------------------
 
     @property
@@ -242,78 +318,68 @@ class DynamicRunResult(RunResult, kind="dynamic", derived=("summary",)):
     @property
     def duration_s(self) -> float:
         """Simulated time."""
-        return self.times_s[-1]
+        return float(self.times_s[-1])
 
-    def _active_indices(self) -> List[int]:
-        return [i for i, f in enumerate(self.frequencies_hz) if f > 0.0]
+    def _active(self) -> np.ndarray:
+        """Mask of the active (non-idle) steps."""
+        return self.frequencies_hz > 0.0
 
     @property
     def average_frequency_hz(self) -> float:
         """Mean frequency over the active steps (0 if the run never woke)."""
-        active = self._active_indices()
-        if not active:
-            return 0.0
-        return sum(self.frequencies_hz[i] for i in active) / len(active)
+        return _mean(self.frequencies_hz[self._active()])
 
     @property
     def peak_frequency_hz(self) -> float:
         """Highest frequency reached."""
-        return max(self.frequencies_hz)
+        return float(self.frequencies_hz.max())
 
     @property
     def sustained_frequency_hz(self) -> float:
         """Frequency the run settled at: mean of the last tenth of the
         active steps (0 if the run never woke)."""
-        active = self._active_indices()
-        if not active:
-            return 0.0
-        tail = active[-max(1, len(active) // 10) :]
-        return sum(self.frequencies_hz[i] for i in tail) / len(tail)
+        return _sustained(self.frequencies_hz[self._active()])
 
     @property
     def peak_temperature_c(self) -> float:
         """Hottest junction temperature of the run."""
-        return max(self.temperatures_c)
+        return float(self.temperatures_c.max())
 
     @property
     def final_temperature_c(self) -> float:
         """Junction temperature at the end of the run."""
-        return self.temperatures_c[-1]
+        return float(self.temperatures_c[-1])
 
     @property
     def average_power_w(self) -> float:
         """Time-average package power over the whole run."""
-        return sum(self.package_powers_w) / len(self.package_powers_w)
+        return _mean(self.package_powers_w)
 
     @property
     def throttled(self) -> bool:
         """True when the run burst above its sustained frequency."""
         return self.peak_frequency_hz > self.sustained_frequency_hz + 1e-6
 
+    def _final_limiting_factor(self, active: np.ndarray) -> str:
+        steps = np.flatnonzero(active)
+        if not len(steps):
+            return LimitingFactor.NONE.value
+        return self.limiting_factors[steps[-1]]
+
     @property
     def final_limiting_factor(self) -> str:
         """Limiting factor of the last active step ("none" if never active)."""
-        active = self._active_indices()
-        if not active:
-            return LimitingFactor.NONE.value
-        return self.limiting_factors[active[-1]]
+        return self._final_limiting_factor(self._active())
 
     def limiting_breakdown(self) -> Dict[str, float]:
         """Fraction of active steps stopped by each limiting factor."""
-        active = self._active_indices()
-        if not active:
-            return {}
-        counts: Dict[str, int] = {}
-        for i in active:
-            counts[self.limiting_factors[i]] = counts.get(self.limiting_factors[i], 0) + 1
-        return {factor: count / len(active) for factor, count in counts.items()}
+        return _breakdown(self.limiting_factors, self._active())
 
     def cstate_residency(self) -> Dict[str, float]:
         """Fraction of the run spent in each package C-state (C0 == active)."""
-        counts: Dict[str, int] = {}
-        for state in self.package_cstates:
-            counts[state] = counts.get(state, 0) + 1
-        return {state: count / len(self.package_cstates) for state, count in counts.items()}
+        counts = Counter(self.package_cstates)
+        steps = len(self.package_cstates)
+        return {state: count / steps for state, count in counts.items()}
 
     def throttle_residency(self) -> Dict[str, float]:
         """Fraction of active steps throttled, keyed by limiting factor.
@@ -321,10 +387,7 @@ class DynamicRunResult(RunResult, kind="dynamic", derived=("summary",)):
         Every factor in :data:`THROTTLE_FACTORS` is present (0.0 when the
         run never hit it), so downstream aggregation never key-errors.
         """
-        breakdown = self.limiting_breakdown()
-        return {
-            factor: breakdown.get(factor, 0.0) for factor in THROTTLE_FACTORS
-        }
+        return _throttle_residency(self.limiting_breakdown())
 
     @property
     def throttled_fraction(self) -> float:
@@ -337,15 +400,18 @@ class DynamicRunResult(RunResult, kind="dynamic", derived=("summary",)):
         Promotes what used to require post-processing the ``limit`` traces
         — throttle residency by limiting factor — next to the frequency and
         power headlines, so stored artifacts answer QoS queries without
-        re-walking the traces.
+        re-walking the traces.  The active-step mask is computed once.
         """
+        active = self._active()
+        active_hz = self.frequencies_hz[active]
+        residency = _throttle_residency(_breakdown(self.limiting_factors, active))
         return {
-            "sustained_frequency_hz": self.sustained_frequency_hz,
-            "average_frequency_hz": self.average_frequency_hz,
+            "sustained_frequency_hz": _sustained(active_hz),
+            "average_frequency_hz": _mean(active_hz),
             "peak_frequency_hz": self.peak_frequency_hz,
             "average_power_w": self.average_power_w,
             "peak_temperature_c": self.peak_temperature_c,
-            "throttle_residency": self.throttle_residency(),
-            "throttled_fraction": self.throttled_fraction,
-            "final_limiting_factor": self.final_limiting_factor,
+            "throttle_residency": residency,
+            "throttled_fraction": sum(residency.values()),
+            "final_limiting_factor": self._final_limiting_factor(active),
         }

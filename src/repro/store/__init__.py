@@ -14,6 +14,7 @@ index answers cross-run queries (:mod:`repro.store.index`); and
 from repro.store.artifacts import (
     RunStore,
     StoreCorruptionWarning,
+    StorePayload,
     decode_value,
     encode_value,
     resolve_store_root,
@@ -39,6 +40,7 @@ __all__ = [
     "RunIndex",
     "RunManifest",
     "StoreCorruptionWarning",
+    "StorePayload",
     "DEFAULT_TIER",
     "MANIFEST_SCHEMA_VERSION",
     "canonical_json",

@@ -4,17 +4,29 @@ Layout (root defaults to ``~/.repro_store``, overridable via the
 ``REPRO_STORE_DIR`` environment variable or an explicit path)::
 
     <root>/
-      runs/<run_id>/result.json      # encoded result payload
+      runs/<run_id>/columns.npy      # dynamic runs only: the per-step traces
+      runs/<run_id>/result.json      # encoded result payload (or its header)
       runs/<run_id>/manifest.json    # RunManifest; written last
       index.sqlite                   # cross-run index (see repro.store.index)
 
+A dynamic run is stored in two files: ``columns.npy`` holds its traces as
+one structured array (:mod:`repro.store.columns`), and ``result.json`` is
+a header with its scalars, its derived ``summary`` and a ``columns`` entry
+carrying the layout version, the row count and the sha256 of the column
+bytes.  Every other value is one JSON payload in ``result.json``.
+Dynamic-run payloads written before the columnar layout (schema 1 and 2,
+traces inline) still load; nothing writes them any more.
+
 Every file is written atomically (temp file in the target directory, then
-``os.replace``), and the manifest lands *after* the result: a run directory
-is complete exactly when it holds a valid manifest.  Two processes writing
-the same run ID race harmlessly — both write identical content (the ID is
-content-addressed) and the last rename wins file-whole; readers never see a
-torn manifest.  Corrupted or truncated manifests are detected on read and
-skipped with a :class:`StoreCorruptionWarning` instead of poisoning sweeps.
+``os.replace``): the columns first, then the result, and the manifest
+*last*, so a run directory is complete exactly when it holds a valid
+manifest.  Two processes writing the same run ID race harmlessly — both
+write identical content (the ID is content-addressed) and the last rename
+wins file-whole; readers never see a torn manifest.  Corrupted or
+truncated manifests are detected on read and skipped with a
+:class:`StoreCorruptionWarning` instead of poisoning sweeps; a result
+whose header or columns fail validation raises :class:`StoreError`, which
+:class:`~repro.store.cache.StoreCache` turns into a warned re-run.
 """
 
 from __future__ import annotations
@@ -33,9 +45,11 @@ from repro.common.codec import (
     SCHEMA_KEY,
     Codec,
     check_schema_version,
+    encode,
 )
 from repro.common.errors import StoreError
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import DynamicRunResult, RunResult
+from repro.store.columns import COLUMN_FIELDS, decode_columns, encode_columns
 from repro.store.manifest import RunManifest
 
 #: Environment variable overriding the default store location.
@@ -46,6 +60,10 @@ DEFAULT_STORE_DIRNAME = ".repro_store"
 
 RESULT_FILENAME = "result.json"
 MANIFEST_FILENAME = "manifest.json"
+COLUMNS_FILENAME = "columns.npy"
+
+#: Header key of a columnar payload's ``columns`` entry.
+COLUMNS_KEY = "columns"
 
 
 class StoreCorruptionWarning(UserWarning):
@@ -63,6 +81,17 @@ def resolve_store_root(root: Union[str, Path, None] = None) -> Path:
 
 
 # -- value codec -----------------------------------------------------------------------
+
+
+class StorePayload(Dict[str, Any]):
+    """One encoded value: the ``result.json`` object, plus the
+    ``columns.npy`` bytes of a columnar value (``None`` otherwise)."""
+
+    def __init__(
+        self, header: Dict[str, Any], columns: Optional[bytes] = None
+    ) -> None:
+        super().__init__(header)
+        self.columns = columns
 
 
 @lru_cache(maxsize=None)
@@ -97,16 +126,24 @@ def _store_codecs() -> Dict[str, Type[Codec]]:
     }
 
 
-def encode_value(value: Any) -> Dict[str, Any]:
-    """Encode a study-task result into a JSON-safe store payload.
+def encode_value(value: Any) -> StorePayload:
+    """Encode a study-task result into a store payload.
 
-    Registered result types (:func:`_store_codecs`) serialise through the
-    shared codec; anything else must already be a faithful JSON value
-    (tuples are rejected: they would silently come back as lists).
+    A dynamic run becomes a header plus its column bytes
+    (:mod:`repro.store.columns`).  Other registered result types
+    (:func:`_store_codecs`) serialise through the shared codec; anything
+    else must already be a faithful JSON value (tuples are rejected: they
+    would silently come back as lists).
     """
+    columns = None
     for codec, result_type in _store_codecs().items():
         if isinstance(value, result_type):
-            payload: Dict[str, Any] = {"codec": codec, "value": value.to_dict()}
+            header: Dict[str, Any] = {"codec": codec}
+            if isinstance(value, DynamicRunResult):
+                header[COLUMNS_KEY], columns = encode_columns(value)
+                header["value"] = encode(value, omit=COLUMN_FIELDS)
+            else:
+                header["value"] = value.to_dict()
             break
     else:
         try:
@@ -121,16 +158,18 @@ def encode_value(value: Any) -> Dict[str, Any]:
                 f"cannot persist {type(value).__name__!s}: not an engine "
                 "result and not a faithful JSON value"
             )
-        payload = {"codec": "json", "value": value}
-    payload[SCHEMA_KEY] = RESULT_SCHEMA_VERSION
-    return payload
+        header = {"codec": "json", "value": value}
+    header[SCHEMA_KEY] = RESULT_SCHEMA_VERSION
+    return StorePayload(header, columns)
 
 
 def decode_value(payload: Any) -> Any:
     """Decode a store payload back into the value :func:`encode_value` saw.
 
-    Any payload that does not decode (a newer schema, an unknown codec, or
-    a value of the wrong shape) raises :class:`StoreError`.
+    A columnar payload must be a :class:`StorePayload` carrying its column
+    bytes.  Any payload that does not decode (a newer schema, an unknown
+    codec, columns that fail their header, or a value of the wrong shape)
+    raises :class:`StoreError`.
     """
     if not isinstance(payload, dict):
         raise StoreError("a store payload must be a JSON object")
@@ -141,10 +180,22 @@ def decode_value(payload: Any) -> Any:
     result_type = _store_codecs().get(codec)
     if result_type is None:
         raise StoreError(f"unknown store codec {codec!r}")
-    return result_type.from_dict(payload.get("value"))
+    value = payload.get("value")
+    if COLUMNS_KEY in payload:
+        columns = getattr(payload, "columns", None)
+        if columns is None:
+            raise StoreError("a columnar payload needs its column bytes")
+        if not isinstance(value, dict) or value.keys() & set(COLUMN_FIELDS):
+            raise StoreError("a columnar header must be an object without traces")
+        value = {**value, **decode_columns(payload[COLUMNS_KEY], columns)}
+    return result_type.from_dict(value)
 
 
 # -- the store -------------------------------------------------------------------------
+
+
+def _json_bytes(document: Dict[str, Any]) -> bytes:
+    return json.dumps(document, sort_keys=True, allow_nan=False).encode()
 
 
 class RunStore:
@@ -176,22 +227,23 @@ class RunStore:
 
     # -- writing -----------------------------------------------------------------------
 
-    def _write_atomic(self, path: Path, text: str) -> None:
-        """Write *text* to *path* via a same-directory temp file + rename."""
+    def _write_atomic(self, path: Path, data: bytes) -> None:
+        """Write *data* to *path* via a same-directory temp file + rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
             f".{path.name}.{os.getpid()}."
             f"{uuid.uuid4().hex}.tmp"  # repro-lint: disable=RPR002 -- temp-file name uniqueness only; the name never reaches a result, manifest, or fingerprint
         )
         try:
-            tmp.write_text(text)
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         finally:
             if tmp.exists():
                 tmp.unlink()
 
     def put(self, manifest: RunManifest, value: Any) -> RunManifest:
-        """Persist one run: encoded *value* first, *manifest* last.
+        """Persist one run: encoded *value* (columns, then result) first,
+        *manifest* last.
 
         Returns the manifest as written.  Concurrent writers of the same
         run ID each complete their own atomic renames; because the ID is
@@ -200,14 +252,10 @@ class RunStore:
         """
         run_dir = self.run_dir(manifest.run_id)
         payload = encode_value(value)
-        self._write_atomic(
-            run_dir / RESULT_FILENAME,
-            json.dumps(payload, sort_keys=True, allow_nan=False),
-        )
-        self._write_atomic(
-            run_dir / MANIFEST_FILENAME,
-            json.dumps(manifest.to_dict(), sort_keys=True, allow_nan=False),
-        )
+        if payload.columns is not None:
+            self._write_atomic(run_dir / COLUMNS_FILENAME, payload.columns)
+        self._write_atomic(run_dir / RESULT_FILENAME, _json_bytes(payload))
+        self._write_atomic(run_dir / MANIFEST_FILENAME, _json_bytes(manifest.to_dict()))
         return manifest
 
     # -- reading -----------------------------------------------------------------------
@@ -249,6 +297,14 @@ class RunStore:
             raise StoreError(
                 f"run {run_id!r} has a corrupted result payload: {error}"
             ) from None
+        if isinstance(payload, dict) and COLUMNS_KEY in payload:
+            try:
+                columns = (path.parent / COLUMNS_FILENAME).read_bytes()
+            except OSError as error:
+                raise StoreError(
+                    f"run {run_id!r} has unreadable columns: {error}"
+                ) from None
+            payload = StorePayload(payload, columns)
         return decode_value(payload)
 
     def run_ids(self) -> List[str]:

@@ -4,7 +4,10 @@ The golden digests pin the exact bytes the run store writes for one seeded
 value of every store codec, and the exact ``to_json`` documents of the
 top-level study results.  They were recorded before the hand-written
 per-class serialisers were replaced by :mod:`repro.common.codec`, so they
-prove the payload format did not move.
+prove the payload format did not move.  The one exception is the dynamic
+run, whose store payload became a header plus ``columns.npy``
+(:mod:`repro.store.columns`); its inline payloads of schema 1 and 2 are
+committed under ``payloads/`` and must keep loading.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from repro.pdn.transients import paper_transient_scenarios
 from repro.pmu.dvfs import CpuDemand
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import RunResult
-from repro.store import StoreCorruptionWarning, decode_value, encode_value
+from repro.store import (
+    RunStore,
+    StoreCorruptionWarning,
+    StorePayload,
+    decode_value,
+    encode_value,
+)
 from repro.store.cli import main
 from repro.variation.distributions import skylake_process_variation
 from repro.variation.population import PopulationResult
@@ -48,9 +57,9 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _store_bytes(value: Any) -> str:
-    """The exact ``result.json`` text the run store writes for *value*."""
-    return json.dumps(encode_value(value), sort_keys=True, allow_nan=False)
+def _store_text(payload: Any) -> str:
+    """The exact ``result.json`` text the run store writes for *payload*."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 def _dynamic_scenario():
@@ -148,7 +157,7 @@ STORE_DIGESTS = {
         "d68bda26a2e3f891221af1130b0418e02121d0b932f7c0a77f59002b6a37c5a5"
     ),
     "run_result/dynamic": (
-        "a9aaef78c23bea070c5c9e6f127594263d4dcb5d09d95403c00fb3b0944d8e43"
+        "6335408b06818003c313beb352a7d47577e40944b366a272d7847366ec1e81d5"
     ),
     "population_cell": (
         "e7181478374c7e7f24bbd4693d3540fb46bf417792e8f903c4493eea8a8503f2"
@@ -173,6 +182,17 @@ STORE_DIGESTS = {
     ),
 }
 
+#: sha256 of the run store's ``columns.npy`` bytes, for the columnar codecs.
+COLUMN_DIGESTS = {
+    "run_result/dynamic": (
+        "857c787fc91869b0c5784189e56cbc624895531d53cbcbca0753132e37993065"
+    ),
+}
+
+#: sha256 of the inline schema-2 dynamic payload (the store's ``result.json``
+#: before the columnar layout), recorded when the file was committed.
+V2_PAYLOAD_DIGEST = "a9aaef78c23bea070c5c9e6f127594263d4dcb5d09d95403c00fb3b0944d8e43"
+
 #: sha256 of ``to_json()`` of each top-level study result.
 JSON_DIGESTS = {
     "json/StudyResult": (
@@ -192,10 +212,15 @@ JSON_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(STORE_DIGESTS))
 def test_store_payload_bytes_match_golden_digest(name):
-    value = _samples()[name]
-    text = _store_bytes(value)
+    payload = encode_value(_samples()[name])
+    text = _store_text(payload)
     assert _sha256(text) == STORE_DIGESTS[name]
-    assert _store_bytes(decode_value(json.loads(text))) == text
+    if name in COLUMN_DIGESTS:
+        assert hashlib.sha256(payload.columns).hexdigest() == COLUMN_DIGESTS[name]
+    else:
+        assert payload.columns is None
+    decoded = decode_value(StorePayload(json.loads(text), payload.columns))
+    assert _store_text(encode_value(decoded)) == text
 
 
 @pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
@@ -217,6 +242,32 @@ def test_schema_v1_dynamic_payload_still_loads():
     upgraded = result.to_dict()
     assert upgraded["schema_version"] == RESULT_SCHEMA_VERSION
     assert upgraded["summary"] == result.summary()
+
+
+def test_schema_v2_inline_store_is_served_warm(tmp_path, monkeypatch, capsys, recwarn):
+    """A store filled before the columnar layout keeps serving its runs."""
+    text = (PAYLOAD_DIR / "dynamic_run_result_v2.json").read_text()
+    assert _sha256(text) == V2_PAYLOAD_DIGEST
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+    run = [
+        "run", "--spec", "darkgates", "--scenario", "sustained", "--tdp", "35",
+        "--opt", "duration_s=4", "--opt", "time_step_s=1",
+    ]
+    assert main(run) == 0
+    assert "1 task(s) executed, 0 served" in capsys.readouterr().out
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    (run_dir / "columns.npy").unlink()
+    (run_dir / "result.json").write_text(text)
+
+    assert main(run) == 0
+    assert "0 task(s) executed, 1 served" in capsys.readouterr().out
+    assert not [w for w in recwarn if issubclass(w.category, StoreCorruptionWarning)]
+    served = RunStore(tmp_path).load_value(run_dir.name)
+    fresh = SimulationEngine(get_spec("darkgates", tdp_w=35.0).build()).run(
+        _dynamic_scenario()
+    )
+    assert served == fresh
+    assert not served.frequencies_hz.flags.writeable
 
 
 # -- payload shape rules ---------------------------------------------------------------
@@ -303,36 +354,116 @@ FLEET_RUN = [
 ]
 
 
-def _truncate_trace(value):
-    value["frequencies_hz"] = value["frequencies_hz"][:-1]
+def _edit_header(run_dir: Path, edit) -> None:
+    path = run_dir / "result.json"
+    header = json.loads(path.read_text())
+    edit(header)
+    path.write_text(json.dumps(header, sort_keys=True))
 
 
-def _trace_to_int(value):
-    value["frequencies_hz"] = 7
+def _load_columns(run_dir: Path) -> np.ndarray:
+    return np.load(run_dir / "columns.npy", allow_pickle=False)
 
 
-def _drop_pl1(value):
-    del value["pl1_w"]
+def _rewrite_columns(run_dir: Path, table: np.ndarray) -> None:
+    """Replace a run's columns with *table* and re-sign them in the header,
+    so only the check under test can catch the damage."""
+    path = run_dir / "columns.npy"
+    np.save(path, table, allow_pickle=table.dtype.hasobject)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    _edit_header(run_dir, lambda header: header["columns"].update(sha256=digest))
+
+
+def _truncate_column(run_dir):
+    _rewrite_columns(run_dir, _load_columns(run_dir)[:-1])
+
+
+def _int_column(run_dir):
+    table = _load_columns(run_dir)
+    descr = [
+        (name, "<i8" if name == "frequencies_hz" else kind)
+        for name, kind in table.dtype.descr
+    ]
+    _rewrite_columns(run_dir, table.astype(descr))
+
+
+def _drop_pl1(run_dir):
+    _edit_header(run_dir, lambda header: header["value"].pop("pl1_w"))
+
+
+class _PickleTrap:
+    """Records any attempt to unpickle it."""
+
+    unpickled = False
+
+    def __reduce__(self):
+        return _spring_trap, ()
+
+
+def _spring_trap():
+    _PickleTrap.unpickled = True
+
+
+def _truncate_file(run_dir):
+    path = run_dir / "columns.npy"
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _flip_byte(run_dir):
+    path = run_dir / "columns.npy"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _delete_file(run_dir):
+    (run_dir / "columns.npy").unlink()
+
+
+def _miscount_rows(run_dir):
+    _edit_header(run_dir, lambda header: header["columns"].update(rows=7))
+
+
+def _object_dtype(run_dir):
+    _rewrite_columns(run_dir, np.array([_PickleTrap()], dtype=object))
 
 
 @pytest.mark.parametrize(
-    "damage", [_truncate_trace, _trace_to_int, _drop_pl1],
-    ids=["truncated-trace", "int-trace", "missing-pl1"],
+    "damage, reason",
+    [
+        (_truncate_column, "rows, the header says"),
+        (_int_column, "columns have dtype"),
+        (_drop_pl1, "missing fields ['pl1_w']"),
+        (_truncate_file, "do not match the sha256"),
+        (_flip_byte, "do not match the sha256"),
+        (_delete_file, "unreadable columns"),
+        (_miscount_rows, "the header says 7"),
+        (_object_dtype, "allow_pickle=False"),
+    ],
+    ids=[
+        "truncated-trace", "int-trace", "missing-pl1", "truncated-file",
+        "flipped-byte", "missing-file", "row-count", "object-dtype",
+    ],
 )
-def test_damaged_result_is_a_warned_cache_miss(damage, tmp_path, monkeypatch, capsys):
+def test_damaged_result_is_a_warned_cache_miss(
+    damage, reason, tmp_path, monkeypatch, capsys
+):
+    """Damage one stored run: the warm run warns once, for *reason*, and
+    re-runs only that run; nothing stored is ever unpickled."""
+    _PickleTrap.unpickled = False
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
     assert main(FLEET_RUN) == 0
     assert "2 task(s) executed, 0 served" in capsys.readouterr().out
-    damaged = sorted((tmp_path / "runs").glob("*/result.json"))[0]
-    payload = json.loads(damaged.read_text())
-    damage(payload["value"])
-    damaged.write_text(json.dumps(payload, sort_keys=True))
+    run_dir = sorted((tmp_path / "runs").iterdir())[0]
+    damage(run_dir)
 
     with pytest.warns(StoreCorruptionWarning) as record:
         assert main(FLEET_RUN) == 0
     assert len(record) == 1
-    assert damaged.parent.name[:12] in str(record[0].message)
+    assert run_dir.name[:12] in str(record[0].message)
+    assert reason in str(record[0].message)
     assert "1 task(s) executed, 1 served" in capsys.readouterr().out
 
     assert main(FLEET_RUN) == 0
     assert "0 task(s) executed, 2 served" in capsys.readouterr().out
+    assert not _PickleTrap.unpickled

@@ -20,6 +20,7 @@ from repro.store import (
     RunStore,
     StoreCache,
     StoreCorruptionWarning,
+    StorePayload,
     canonical_json,
     decode_value,
     digest,
@@ -144,7 +145,11 @@ def test_encode_decode_round_trips_engine_results():
     result = engine.run(_scenario())
     payload = encode_value(result)
     assert payload["codec"] == "run_result"
-    assert decode_value(json.loads(json.dumps(payload))) == result
+    assert decode_value(payload) == result
+    header = json.loads(json.dumps(payload))
+    assert decode_value(StorePayload(header, payload.columns)) == result
+    with pytest.raises(StoreError, match="column bytes"):
+        decode_value(header)
 
 
 def test_encode_rejects_unfaithful_values():
